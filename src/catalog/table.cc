@@ -30,11 +30,7 @@ Status Table::Insert(Row row, uint64_t begin_ts) {
 
 size_t Table::AppendVersion(Row row, uint64_t begin_ts, TableUndo* undo) {
   const size_t pos = versions_.Append(std::move(row), begin_ts);
-  // Index maintenance happens before the position is published: a
-  // concurrent index lookup may already surface `pos`, but VisibleAt
-  // rejects positions at or past the published bound.
-  MaintainIndexesForAppend(pos);
-  published_.store(pos + 1, std::memory_order_release);
+  PublishAppend(pos);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
   if (undo != nullptr) undo->appended.push_back({this, pos});
   return pos;
@@ -90,7 +86,12 @@ size_t Table::PruneVersions(uint64_t horizon) {
   return pruned;
 }
 
-void Table::MaintainIndexesForAppend(size_t pos) {
+void Table::PublishAppend(size_t pos) {
+  // The epoch bump and the publication happen under one lock: an index
+  // (re)build, which reads `published_` under the same lock, either
+  // precedes both — and is then in sync, so the loop below adds `pos`
+  // — or follows both and covers `pos` itself. A build between the two
+  // would be marked fresh without `pos` and miss it until the next GC.
   std::lock_guard<std::mutex> lock(index_mutex_);
   const uint64_t old_version = version_++;
   for (auto& [column, cached] : indexes_) {
@@ -101,6 +102,7 @@ void Table::MaintainIndexesForAppend(size_t pos) {
     }
     cached.built_version = version_;
   }
+  published_.store(pos + 1, std::memory_order_release);
 }
 
 Table::CachedIndex& Table::EnsureIndexLocked(size_t column) const {

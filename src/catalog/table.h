@@ -288,10 +288,10 @@ class Table {
     uint64_t built_version = 0;  // 0 = never built (version_ starts at 1)
   };
 
-  /// Appends position `pos` (the about-to-publish version) to every
-  /// in-sync index and bumps the table version; stale indexes stay
-  /// stale.
-  void MaintainIndexesForAppend(size_t pos);
+  /// Appends position `pos` (the new version) to every in-sync index,
+  /// bumps the table version and publishes `pos`, all under
+  /// `index_mutex_`; stale indexes stay stale.
+  void PublishAppend(size_t pos);
 
   /// Builds (or rebuilds) the index on `column` if stale; requires
   /// `index_mutex_` held.

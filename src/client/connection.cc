@@ -1,5 +1,8 @@
 #include "client/connection.h"
 
+#include <chrono>
+
+#include "obs/trace.h"
 #include "server/admission_queue.h"
 
 namespace pdm::client {
@@ -25,39 +28,26 @@ std::vector<DbServer::BatchStatementResult> Connection::RunAtServer(
   return server_->ExecuteBatch(statements);
 }
 
-Status Connection::Execute(std::string_view sql, ResultSet* out) {
+Status Connection::Execute(std::string_view sql, ResultSet* out,
+                           const ResponseSizer& sizer) {
   ResultSet scratch;
   if (out == nullptr) out = &scratch;
-  if (admission_attached_) {
-    std::vector<std::string> statements{std::string(sql)};
-    std::vector<DbServer::BatchStatementResult> results =
-        server_->Submit(admission_client_id_, statements);
-    PDM_RETURN_NOT_OK(results[0].status);
-    *out = std::move(results[0].result);
-    link_.RecordRoundTrip(sql.size(), results[0].response_bytes);
-    return Status::OK();
-  }
   size_t response_bytes = 0;
-  PDM_RETURN_NOT_OK(server_->Execute(sql, out, &response_bytes));
-  link_.RecordRoundTrip(sql.size(), response_bytes);
-  return Status::OK();
-}
-
-Status Connection::ExecuteSized(std::string_view sql, ResultSet* out,
-                                const ResponseSizer& sizer) {
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
   if (admission_attached_) {
     std::vector<std::string> statements{std::string(sql)};
-    std::vector<DbServer::BatchStatementResult> results =
-        server_->Submit(admission_client_id_, statements);
-    PDM_RETURN_NOT_OK(results[0].status);
-    *out = std::move(results[0].result);
-    link_.RecordRoundTrip(sql.size(), sizer(*out));
-    return Status::OK();
+    DbServer::BatchStatementResult result =
+        std::move(server_->Submit(admission_client_id_, statements)[0]);
+    PDM_RETURN_NOT_OK(result.status);
+    *out = std::move(result.result);
+    response_bytes = result.response_bytes;
+  } else {
+    // A standalone statement (batch 0); the server sizes the response
+    // only when this call charges the server's sizing.
+    PDM_RETURN_NOT_OK(
+        server_->Execute(sql, out, sizer ? nullptr : &response_bytes));
   }
-  PDM_RETURN_NOT_OK(server_->Execute(sql, out, nullptr));
-  link_.RecordRoundTrip(sql.size(), sizer(*out));
+  if (sizer) response_bytes = sizer(*out);
+  link_.RecordRoundTrip(sql.size(), response_bytes);
   return Status::OK();
 }
 
@@ -74,79 +64,33 @@ size_t BatchRequestBytes(const std::vector<std::string>& statements) {
 }  // namespace
 
 Status Connection::ExecuteBatch(const std::vector<std::string>& statements,
-                                std::vector<Result<ResultSet>>* out) {
-  if (out != nullptr) out->clear();
-  // Empty batch: nothing to ship, no round trip charged.
-  if (statements.empty()) return Status::OK();
-  std::vector<DbServer::BatchStatementResult> results =
-      RunAtServer(statements);
-  size_t response_bytes = 0;
-  for (const DbServer::BatchStatementResult& r : results) {
-    response_bytes += r.response_bytes;
-  }
-  link_.RecordBatchRoundTrip(BatchRequestBytes(statements), response_bytes,
-                             statements.size());
-  if (out != nullptr) {
-    out->reserve(results.size());
-    for (DbServer::BatchStatementResult& r : results) {
-      if (r.status.ok()) {
-        out->emplace_back(std::move(r.result));
-      } else {
-        out->emplace_back(std::move(r.status));
-      }
-    }
-  }
+                                std::vector<Result<ResultSet>>* out,
+                                const ResponseSizer& sizer) {
+  // A sequential exchange: issued, then collected on this thread.
+  ExecuteBatchPipelined(statements, /*overlap_previous=*/false)
+      .Collect(out, sizer);
   return Status::OK();
 }
 
-Status Connection::ExecuteBatchSized(
-    const std::vector<std::string>& statements,
-    std::vector<Result<ResultSet>>* out, const ResponseSizer& sizer) {
-  if (out != nullptr) out->clear();
-  // Empty batch: nothing to ship, no round trip charged.
-  if (statements.empty()) return Status::OK();
-  std::vector<DbServer::BatchStatementResult> results =
-      RunAtServer(statements);
-  size_t response_bytes = 0;
-  for (const DbServer::BatchStatementResult& r : results) {
-    // Error slots occupy the server's minimal frame; OK slots use the
-    // caller's sizing, matching what ExecuteSized charges per statement.
-    response_bytes += r.status.ok() ? sizer(r.result) : size_t{64};
-  }
-  link_.RecordBatchRoundTrip(BatchRequestBytes(statements), response_bytes,
-                             statements.size());
-  if (out != nullptr) {
-    out->reserve(results.size());
-    for (DbServer::BatchStatementResult& r : results) {
-      if (r.status.ok()) {
-        out->emplace_back(std::move(r.result));
-      } else {
-        out->emplace_back(std::move(r.status));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Connection::PendingBatch::~PendingBatch() {
+void Connection::PendingBatch::Abandon() {
   if (conn_ == nullptr) return;
   // Never collected: the action failed before this level's results were
-  // needed. Drain the server work (its thread touches shared state) and
-  // drop the exchange from the timeline unaccounted.
-  if (future_.valid()) future_.wait();
+  // needed. Drain server work in flight and drop the exchange from the
+  // timeline unaccounted; a deferred batch is simply never run.
+  if (future_.valid() && future_.wait_for(std::chrono::seconds(0)) !=
+                             std::future_status::deferred) {
+    future_.wait();
+  }
   conn_->link_.AbortExchange();
+  conn_ = nullptr;
 }
 
 Connection::PendingBatch& Connection::PendingBatch::operator=(
     PendingBatch&& other) noexcept {
   if (this != &other) {
-    if (conn_ != nullptr) {
-      if (future_.valid()) future_.wait();
-      conn_->link_.AbortExchange();
-    }
+    Abandon();
     conn_ = std::exchange(other.conn_, nullptr);
     future_ = std::move(other.future_);
-    n_statements_ = other.n_statements_;
   }
   return *this;
 }
@@ -186,13 +130,18 @@ Connection::PendingBatch Connection::ExecuteBatchPipelined(
   // Empty batch: nothing to ship, no exchange opened.
   if (statements.empty()) return pending;
   pending.conn_ = this;
-  pending.n_statements_ = statements.size();
   link_.BeginExchange(BatchRequestBytes(statements), statements.size(),
                       overlap_previous);
-  pending.future_ =
-      admission_attached_
-          ? server_->SubmitAsync(admission_client_id_, std::move(statements))
-          : server_->ExecuteBatchAsync(std::move(statements));
+  // Capture the submitter's trace context NOW: an overlapped batch runs
+  // on a fresh thread whose thread-local context is empty, and the
+  // server spans of this batch belong to the action that issued it.
+  const obs::TraceContext ctx = obs::CurrentContext();
+  pending.future_ = std::async(
+      overlap_previous ? std::launch::async : std::launch::deferred,
+      [this, ctx, statements = std::move(statements)]() {
+        obs::ContextScope scope(ctx);
+        return RunAtServer(statements);
+      });
   return pending;
 }
 

@@ -45,77 +45,74 @@ class Connection {
   void DetachFromAdmissionQueue();
   bool attached_to_admission_queue() const { return admission_attached_; }
 
-  /// One query/response round trip with the server's response sizing.
-  Status Execute(std::string_view sql, ResultSet* out);
-
-  /// One round trip with caller-controlled response sizing (used by the
-  /// recursive strategy to charge node rows at the paper's per-node
-  /// size; see DESIGN.md).
-  Status ExecuteSized(std::string_view sql, ResultSet* out,
-                      const ResponseSizer& sizer);
+  /// One query/response round trip. The response is charged `sizer`'s
+  /// size when given (e.g. the paper's per-node size, see DESIGN.md),
+  /// the server's sizing otherwise — which the server then computes
+  /// only in that case. A failing statement charges nothing.
+  Status Execute(std::string_view sql, ResultSet* out,
+                 const ResponseSizer& sizer = nullptr);
 
   /// One *batched* round trip: all statements ship as one request, all
   /// results return as one response (DESIGN.md 5d). `out` receives one
   /// Result per statement, in statement order — a failing statement
-  /// reports its error in its slot without poisoning siblings. Uses the
-  /// server's response sizing. An empty batch is a no-op: nothing is
-  /// sent and no round trip is charged.
+  /// reports its error in its slot without poisoning siblings. OK slots
+  /// are sized by `sizer` when given, by the server's policy otherwise;
+  /// error slots are charged the server's minimal 64-byte frame. An
+  /// empty batch is a no-op: nothing is sent and no round trip is
+  /// charged.
   Status ExecuteBatch(const std::vector<std::string>& statements,
-                      std::vector<Result<ResultSet>>* out);
+                      std::vector<Result<ResultSet>>* out,
+                      const ResponseSizer& sizer = nullptr);
 
-  /// ExecuteBatch with caller-controlled response sizing. Error slots
-  /// are charged the server's minimal 64-byte frame, not `sizer`.
-  Status ExecuteBatchSized(const std::vector<std::string>& statements,
-                           std::vector<Result<ResultSet>>* out,
-                           const ResponseSizer& sizer);
-
-  /// One in-flight pipelined batch exchange (DESIGN.md 5g): the request
-  /// is on the wire (WanLink::BeginExchange) and the statements execute
-  /// at the server on a background thread. Collect() blocks for the
-  /// results and completes the exchange on the link. Destroying a
-  /// never-collected PendingBatch drains the server work and aborts the
-  /// exchange unaccounted — the fail-fast path can simply drop it
-  /// without deadlocking or corrupting the link timeline.
+  /// One issued batch exchange (DESIGN.md 5g): the request is on the
+  /// wire (WanLink::BeginExchange). Collect() obtains the results and
+  /// completes the exchange on the link. Destroying a never-collected
+  /// PendingBatch aborts the exchange unaccounted (draining server work
+  /// already in flight) — the fail-fast path can simply drop it without
+  /// deadlocking or corrupting the link timeline.
   class PendingBatch {
    public:
     PendingBatch() = default;
-    ~PendingBatch();
+    ~PendingBatch() { Abandon(); }
 
     PendingBatch(PendingBatch&& other) noexcept
         : conn_(std::exchange(other.conn_, nullptr)),
-          future_(std::move(other.future_)),
-          n_statements_(other.n_statements_) {}
+          future_(std::move(other.future_)) {}
     PendingBatch& operator=(PendingBatch&& other) noexcept;
 
     /// False for an empty batch (nothing was issued) or after Collect.
     bool valid() const { return conn_ != nullptr; }
-    size_t statements() const { return n_statements_; }
 
-    /// Blocks for the server results, completes the exchange on the
-    /// link and fills `out` (one Result per statement, in order, as
-    /// ExecuteBatch does). OK slots are sized by `sizer` when provided
-    /// (error slots: the 64-byte frame), by the server's policy
-    /// otherwise. Returns the exchange's timeline entry; zeroed if the
-    /// batch was invalid.
+    /// Waits for (or, for a non-overlapped batch, runs) the server
+    /// work, completes the exchange on the link and fills `out` as
+    /// ExecuteBatch does, with the same sizing rules. Returns the
+    /// exchange's timeline entry; zeroed if the batch was invalid.
     net::ExchangeTiming Collect(std::vector<Result<ResultSet>>* out,
                                 const ResponseSizer& sizer = nullptr);
 
    private:
     friend class Connection;
 
+    /// Aborts a never-collected exchange: in-flight server work is
+    /// drained (its thread touches shared state), deferred work is
+    /// never run.
+    void Abandon();
+
     Connection* conn_ = nullptr;
     std::future<std::vector<DbServer::BatchStatementResult>> future_;
-    size_t n_statements_ = 0;
   };
 
   /// Issues a batch without waiting for it (DESIGN.md 5g). With
   /// `overlap_previous` the exchange is charged as issued at the
   /// previous exchange's transfer start — the speculative issue of a
-  /// pipelined client that decoded the streaming prefix. The server work
-  /// runs on a background thread (through the admission queue when
-  /// attached). An empty batch issues nothing and returns an invalid
-  /// handle. At most one pipelined batch may be in flight per
-  /// connection (the link serializes exchanges).
+  /// pipelined client that decoded the streaming prefix — and the
+  /// server work starts at once on a background thread. Without it the
+  /// exchange is sequential and the server work runs on the calling
+  /// thread at Collect, so an abandoned batch never reaches the server.
+  /// Either way the work goes through the admission queue when
+  /// attached. An empty batch issues nothing and returns an invalid
+  /// handle. At most one batch may be in flight per connection (the
+  /// link serializes exchanges).
   PendingBatch ExecuteBatchPipelined(std::vector<std::string> statements,
                                      bool overlap_previous);
 

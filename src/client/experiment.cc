@@ -102,21 +102,21 @@ std::unique_ptr<AccessStrategy> Experiment::MakeStrategyOn(
           conn, &rule_table_, user(), config_.client,
           /*early_evaluation=*/true);
     case model::StrategyKind::kBatchedLate:
-      return std::make_unique<NavigationalBatchedStrategy>(
+      return std::make_unique<LevelBatchedStrategy>(
           conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/false);
+          /*early_evaluation=*/false, /*overlap=*/false);
     case model::StrategyKind::kBatchedEarly:
-      return std::make_unique<NavigationalBatchedStrategy>(
+      return std::make_unique<LevelBatchedStrategy>(
           conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/true);
+          /*early_evaluation=*/true, /*overlap=*/false);
     case model::StrategyKind::kPipelinedLate:
-      return std::make_unique<NavigationalPipelinedStrategy>(
+      return std::make_unique<LevelBatchedStrategy>(
           conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/false);
+          /*early_evaluation=*/false, /*overlap=*/true);
     case model::StrategyKind::kPipelinedEarly:
-      return std::make_unique<NavigationalPipelinedStrategy>(
+      return std::make_unique<LevelBatchedStrategy>(
           conn, &rule_table_, user(), config_.client,
-          /*early_evaluation=*/true);
+          /*early_evaluation=*/true, /*overlap=*/true);
     case model::StrategyKind::kRecursive:
       return std::make_unique<RecursiveStrategy>(conn, &rule_table_, user(),
                                                  config_.client);

@@ -45,6 +45,25 @@ class ActionTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The expand statement for one node. The navigational and
+/// level-batched clients both render through here, so their wire
+/// traffic can never drift apart.
+Result<std::string> RenderExpandSql(const rules::RuleTable* rules,
+                                    const pdmsys::UserContext& user,
+                                    const ClientConfig& config, bool early,
+                                    int64_t node) {
+  std::unique_ptr<sql::SelectStmt> stmt =
+      rules::BuildExpandQuery(node, config.hierarchy);
+  if (early) {
+    QueryModificator modificator(rules, user);
+    PDM_RETURN_NOT_OK(modificator
+                          .ApplyToNavigationalQuery(&stmt->query,
+                                                    RuleAction::kExpand)
+                          .status());
+  }
+  return stmt->ToSql();
+}
+
 }  // namespace
 
 AccessStrategy::AccessStrategy(Connection* conn,
@@ -86,18 +105,11 @@ size_t AccessStrategy::SizeHomogenizedResponse(const ResultSet& result) const {
 
 Result<ResultSet> NavigationalStrategy::ExpandOnce(
     int64_t node, PreparedRowFilter* late_filter, size_t* transmitted_rows) {
-  std::unique_ptr<sql::SelectStmt> stmt =
-      rules::BuildExpandQuery(node, config_.hierarchy);
-  if (early_) {
-    QueryModificator modificator(rules_, user_);
-    PDM_RETURN_NOT_OK(modificator
-                          .ApplyToNavigationalQuery(&stmt->query,
-                                                    RuleAction::kExpand)
-                          .status());
-  }
+  PDM_ASSIGN_OR_RETURN(std::string sql,
+                       RenderExpandSql(rules_, user_, config_, early_, node));
   ResultSet rows;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
-      stmt->ToSql(), &rows,
+  PDM_RETURN_NOT_OK(conn_->Execute(
+      sql, &rows,
       [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
   if (transmitted_rows != nullptr) *transmitted_rows += rows.num_rows();
 
@@ -130,7 +142,7 @@ Result<ActionResult> NavigationalStrategy::QueryAll() {
                           .status());
   }
   ResultSet rows;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
+  PDM_RETURN_NOT_OK(conn_->Execute(
       stmt->ToSql(), &rows,
       [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
   out.transmitted_rows = rows.num_rows();
@@ -245,161 +257,22 @@ Result<ActionResult> NavigationalStrategy::MultiLevelExpand(int64_t root) {
   return out;
 }
 
-// --- NavigationalBatchedStrategy ------------------------------------------------
+// --- LevelBatchedStrategy -------------------------------------------------------
 
-namespace {
-
-/// The expand statement for one node — byte-identical to what
-/// NavigationalStrategy sends for the same node and variant. Batched
-/// and pipelined clients both render through here, so their wire
-/// traffic can never drift apart.
-Result<std::string> RenderNavExpandSql(const rules::RuleTable* rules,
-                                       const pdmsys::UserContext& user,
-                                       const ClientConfig& config, bool early,
-                                       int64_t node) {
-  std::unique_ptr<sql::SelectStmt> stmt =
-      rules::BuildExpandQuery(node, config.hierarchy);
-  if (early) {
-    QueryModificator modificator(rules, user);
-    PDM_RETURN_NOT_OK(modificator
-                          .ApplyToNavigationalQuery(&stmt->query,
-                                                    RuleAction::kExpand)
-                          .status());
-  }
-  return stmt->ToSql();
-}
-
-}  // namespace
-
-Result<std::string> NavigationalBatchedStrategy::RenderExpandSql(
-    int64_t node) const {
-  return RenderNavExpandSql(rules_, user_, config_, early_, node);
-}
-
-Result<ActionResult> NavigationalBatchedStrategy::QueryAll() {
+Result<ActionResult> LevelBatchedStrategy::QueryAll() {
   NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
   return nav.QueryAll();
 }
 
-Result<ActionResult> NavigationalBatchedStrategy::SingleLevelExpand(
-    int64_t node) {
+Result<ActionResult> LevelBatchedStrategy::SingleLevelExpand(int64_t node) {
   NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
   return nav.SingleLevelExpand(node);
 }
 
-Result<ActionResult> NavigationalBatchedStrategy::MultiLevelExpand(
-    int64_t root) {
-  obs::ScopedSpan action_span("action:batched/mle", obs::ModelTerm::kNone);
-  ActionTimer action_timer(config_, name(), "mle");
-  conn_->ResetStats();
-  ActionResult out;
-
-  // The root object is already at the client (paper footnote 4).
-  size_t root_index = out.tree.AddNode(root, "assy", "", std::nullopt);
-
-  std::unique_ptr<PreparedRowFilter> filter;
-  if (!early_) {
-    // Prepare the late filter from a local probe of the fixed expand
-    // schema, exactly as the navigational client does (no WAN traffic).
-    std::unique_ptr<sql::SelectStmt> probe =
-        rules::BuildExpandQuery(root, config_.hierarchy);
-    ResultSet rows;
-    ExecStats probe_stats;  // private stats: probes may run concurrently
-    PDM_RETURN_NOT_OK(conn_->server().database().Execute(
-        probe->ToSql(), &rows, &probe_stats));
-    PDM_ASSIGN_OR_RETURN(
-        filter,
-        evaluator_.Prepare(rows.schema, RuleAction::kMultiLevelExpand));
-  }
-
-  ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
-
-  // Breadth-first by construction: the frontier is exactly one tree
-  // level, and one batch ships all of its expand queries. Processing
-  // statements in frontier order makes the AddNode sequence identical
-  // to the navigational FIFO traversal, so the trees match byte for
-  // byte.
-  std::vector<std::pair<int64_t, size_t>> frontier;  // (obid, tree index)
-  frontier.emplace_back(root, root_index);
-  while (!frontier.empty()) {
-    std::vector<std::string> statements;
-    statements.reserve(frontier.size());
-    for (const auto& [obid, index] : frontier) {
-      PDM_ASSIGN_OR_RETURN(std::string sql, RenderExpandSql(obid));
-      statements.push_back(std::move(sql));
-    }
-    std::vector<Result<ResultSet>> responses;
-    PDM_RETURN_NOT_OK(conn_->ExecuteBatchSized(
-        statements, &responses,
-        [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
-
-    std::vector<std::pair<int64_t, size_t>> next;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      PDM_RETURN_NOT_OK(responses[i].status());
-      ResultSet rows = std::move(*responses[i]);
-      out.transmitted_rows += rows.num_rows();
-
-      if (!early_ && filter != nullptr) {
-        // Late evaluation: the rows crossed the WAN; filter here.
-        ResultSet kept;
-        kept.schema = rows.schema;
-        kept.rows.reserve(rows.rows.size());
-        for (Row& row : rows.rows) {
-          PDM_ASSIGN_OR_RETURN(bool pass, filter->Passes(row));
-          if (pass) kept.rows.push_back(std::move(row));
-        }
-        rows = std::move(kept);
-      }
-
-      if (kept_nodes.schema.num_columns() == 0) {
-        kept_nodes.schema = rows.schema;
-      }
-      std::optional<size_t> obid_col = rows.schema.FindColumn("obid");
-      std::optional<size_t> type_col = rows.schema.FindColumn("type");
-      std::optional<size_t> name_col = rows.schema.FindColumn("name");
-      kept_nodes.rows.reserve(kept_nodes.rows.size() + rows.rows.size());
-      for (Row& row : rows.rows) {
-        int64_t child_obid = row[*obid_col].int64_value();
-        size_t child_index =
-            out.tree.AddNode(child_obid, row[*type_col].ToString(),
-                             row[*name_col].ToString(), frontier[i].second);
-        next.emplace_back(child_obid, child_index);
-        kept_nodes.rows.push_back(std::move(row));
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  // Tree conditions are evaluated at the client, as in both
-  // navigational modes (Section 4.1).
-  PDM_ASSIGN_OR_RETURN(
-      bool tree_ok,
-      evaluator_.TreeConditionsPass(kept_nodes,
-                                    RuleAction::kMultiLevelExpand));
-  if (!tree_ok) out.tree = pdmsys::ProductTree();  // all-or-nothing
-
-  out.visible_nodes =
-      out.tree.num_nodes() > 0 ? out.tree.num_nodes() - 1 : 0;
-  out.wan = conn_->stats();
-  return out;
-}
-
-// --- NavigationalPipelinedStrategy ----------------------------------------------
-
-Result<ActionResult> NavigationalPipelinedStrategy::QueryAll() {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.QueryAll();
-}
-
-Result<ActionResult> NavigationalPipelinedStrategy::SingleLevelExpand(
-    int64_t node) {
-  NavigationalStrategy nav(conn_, rules_, user_, config_, early_);
-  return nav.SingleLevelExpand(node);
-}
-
-Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
-    int64_t root) {
-  obs::ScopedSpan action_span("action:pipelined/mle", obs::ModelTerm::kNone);
+Result<ActionResult> LevelBatchedStrategy::MultiLevelExpand(int64_t root) {
+  obs::ScopedSpan action_span(
+      overlap_ ? "action:pipelined/mle" : "action:batched/mle",
+      obs::ModelTerm::kNone);
   ActionTimer action_timer(config_, name(), "mle");
   conn_->ResetStats();
   ActionResult out;
@@ -428,19 +301,19 @@ Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
 
   ResultSet kept_nodes;  // homogenized rows kept, for tree conditions
 
-  // Same breadth-first level batches as the batched client, but each
-  // level's batch is issued *speculatively* against the previous
-  // response stream: filtering needs only row values, which are
-  // decodable from the prefix, so the next request can leave before the
-  // previous transfer finishes. Tree assembly (phase C) then runs on
-  // the fully received level, keeping the AddNode sequence — and hence
-  // the tree — byte-identical to the batched traversal.
+  // Breadth-first by construction: one batch ships all expand queries
+  // of one tree level. With `overlap_` each level's batch is issued
+  // *speculatively* against the previous response stream: filtering
+  // needs only row values, which are decodable from the prefix, so the
+  // next request can leave before the previous transfer finishes. Tree
+  // assembly (phase C) then runs on the fully received level in
+  // statement order, keeping the AddNode sequence — and hence the
+  // tree — byte-identical to the navigational FIFO traversal.
   std::vector<size_t> parent_index{root_index};  // tree index per statement
   Connection::PendingBatch pending;
   {
-    PDM_ASSIGN_OR_RETURN(std::string sql,
-                         RenderNavExpandSql(rules_, user_, config_, early_,
-                                            root));
+    PDM_ASSIGN_OR_RETURN(
+        std::string sql, RenderExpandSql(rules_, user_, config_, early_, root));
     std::vector<std::string> statements;
     statements.push_back(std::move(sql));
     pending = conn_->ExecuteBatchPipelined(std::move(statements),
@@ -453,8 +326,8 @@ Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
 
     // Phase A: decode and (when late) filter every OK slot. Error slots
     // keep an empty row set here; the error itself is raised in phase
-    // C, after the speculative issue — exactly where a real pipelined
-    // client would discover it.
+    // C, after the next level is issued — exactly where a real
+    // pipelined client would discover it.
     std::vector<ResultSet> kept(responses.size());
     for (size_t i = 0; i < responses.size(); ++i) {
       if (!responses[i].ok()) continue;
@@ -474,8 +347,8 @@ Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
     }
 
     // Phase B: render and issue the next level before touching the
-    // tree. Statement order is kept-row order across slots, identical
-    // to the batched frontier order.
+    // tree. Statement order is kept-row order across slots, which is
+    // the frontier order of a breadth-first traversal.
     std::vector<std::string> next_statements;
     for (const ResultSet& rows : kept) {
       std::optional<size_t> obid_col = rows.schema.FindColumn("obid");
@@ -483,17 +356,18 @@ Result<ActionResult> NavigationalPipelinedStrategy::MultiLevelExpand(
       for (const Row& row : rows.rows) {
         PDM_ASSIGN_OR_RETURN(
             std::string sql,
-            RenderNavExpandSql(rules_, user_, config_, early_,
-                               row[*obid_col].int64_value()));
+            RenderExpandSql(rules_, user_, config_, early_,
+                            row[*obid_col].int64_value()));
         next_statements.push_back(std::move(sql));
       }
     }
-    Connection::PendingBatch next = conn_->ExecuteBatchPipelined(
-        std::move(next_statements), /*overlap_previous=*/true);
+    Connection::PendingBatch next =
+        conn_->ExecuteBatchPipelined(std::move(next_statements), overlap_);
 
     // Phase C: fail-fast and assembly. An error here abandons `next` to
-    // its destructor, which drains the in-flight server work and aborts
-    // the exchange unaccounted.
+    // its destructor, which aborts the exchange unaccounted: overlapped
+    // server work is drained, a sequential level never reaches the
+    // server at all.
     std::vector<size_t> next_parent_index;
     for (size_t i = 0; i < responses.size(); ++i) {
       PDM_RETURN_NOT_OK(responses[i].status());
@@ -576,7 +450,7 @@ Result<ActionResult> RecursiveStrategy::RunTreeQuery(int64_t root,
           .status());
 
   ResultSet result;
-  PDM_RETURN_NOT_OK(conn_->ExecuteSized(
+  PDM_RETURN_NOT_OK(conn_->Execute(
       stmt->ToSql(), &result,
       [this](const ResultSet& r) { return SizeHomogenizedResponse(r); }));
 

@@ -106,65 +106,43 @@ class NavigationalStrategy : public AccessStrategy {
   bool early_;
 };
 
-/// The batched client (this repo's extension; DESIGN.md 5d): per-query
-/// SQL identical to NavigationalStrategy, but a multi-level expand
-/// ships all expand queries of one tree level as a single batch over
-/// the wire — α + 1 round trips instead of n_v + 1 while still sending
-/// n_v + 1 statements. Late- and early-evaluation variants mirror the
-/// navigational ones; Query and single-level expand are one statement
-/// already and delegate to NavigationalStrategy.
-class NavigationalBatchedStrategy : public AccessStrategy {
- public:
-  NavigationalBatchedStrategy(Connection* conn, const rules::RuleTable* rules,
-                              pdmsys::UserContext user, ClientConfig config,
-                              bool early_evaluation)
-      : AccessStrategy(conn, rules, std::move(user), config),
-        early_(early_evaluation) {}
-
-  Result<ActionResult> QueryAll() override;
-  Result<ActionResult> SingleLevelExpand(int64_t node) override;
-  Result<ActionResult> MultiLevelExpand(int64_t root) override;
-  std::string_view name() const override {
-    return early_ ? "navigational-batched-early"
-                  : "navigational-batched-late";
-  }
-
- private:
-  /// Renders the expand statement for one node — byte-identical to what
-  /// NavigationalStrategy would send for the same node and variant.
-  Result<std::string> RenderExpandSql(int64_t node) const;
-
-  bool early_;
-};
-
-/// The pipelined client (DESIGN.md 5g): statements, per-level batches
-/// and assembled trees are byte-identical to
-/// NavigationalBatchedStrategy — still α + 1 round trips — but level
-/// i+1's batch is issued speculatively the moment level i's response
-/// prefix is decodable (its transfer start), so up to
+/// The level-batched client (this repo's extension; DESIGN.md 5d, 5g):
+/// per-query SQL identical to NavigationalStrategy, but a multi-level
+/// expand ships all expand queries of one tree level as a single batch
+/// over the wire — α + 1 round trips instead of n_v + 1 while still
+/// sending n_v + 1 statements. With `overlap` (the pipelined client)
+/// level i+1's batch is issued speculatively the moment level i's
+/// response prefix is decodable (its transfer start), so up to
 /// min(2 * T_Lat, level-i transfer time) of every inter-level latency
-/// window hides under the still-streaming previous response. Query and
+/// window hides under the still-streaming previous response; without
+/// it each level runs on the calling thread when collected. Statements,
+/// batches and trees are byte-identical either way. Late- and
+/// early-evaluation variants mirror the navigational ones; Query and
 /// single-level expand are one statement already and delegate to
 /// NavigationalStrategy.
-class NavigationalPipelinedStrategy : public AccessStrategy {
+class LevelBatchedStrategy : public AccessStrategy {
  public:
-  NavigationalPipelinedStrategy(Connection* conn,
-                                const rules::RuleTable* rules,
-                                pdmsys::UserContext user, ClientConfig config,
-                                bool early_evaluation)
+  LevelBatchedStrategy(Connection* conn, const rules::RuleTable* rules,
+                       pdmsys::UserContext user, ClientConfig config,
+                       bool early_evaluation, bool overlap)
       : AccessStrategy(conn, rules, std::move(user), config),
-        early_(early_evaluation) {}
+        early_(early_evaluation),
+        overlap_(overlap) {}
 
   Result<ActionResult> QueryAll() override;
   Result<ActionResult> SingleLevelExpand(int64_t node) override;
   Result<ActionResult> MultiLevelExpand(int64_t root) override;
   std::string_view name() const override {
-    return early_ ? "navigational-pipelined-early"
-                  : "navigational-pipelined-late";
+    if (overlap_) {
+      return early_ ? "navigational-pipelined-early"
+                    : "navigational-pipelined-late";
+    }
+    return early_ ? "navigational-batched-early" : "navigational-batched-late";
   }
 
  private:
   bool early_;
+  bool overlap_;
 };
 
 /// The Approach-2 client (Section 5): multi-level expands compile into a

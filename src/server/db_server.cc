@@ -22,11 +22,8 @@ enum class StatementClass {
   kBarrier,   // DDL / CALL / EXPLAIN / unparseable: whole wave serial
 };
 
-StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
-                                 const std::string& sql) {
-  if (fp.ok() && fp->cacheable) return StatementClass::kReadOnly;
-  // The first keyword separates DML from barriers; anything
-  // unrecognized (DDL, CALL, EXPLAIN, lexical errors) is a barrier.
+/// True if the statement's first keyword is INSERT, UPDATE or DELETE.
+bool IsDmlText(std::string_view sql) {
   size_t begin = 0;
   while (begin < sql.size() &&
          std::isspace(static_cast<unsigned char>(sql[begin]))) {
@@ -37,12 +34,16 @@ StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
          std::isalpha(static_cast<unsigned char>(sql[end]))) {
     ++end;
   }
-  std::string word = ToLowerAscii(
-      std::string_view(sql).substr(begin, end - begin));
-  if (word == "insert" || word == "update" || word == "delete") {
-    return StatementClass::kDml;
-  }
-  return StatementClass::kBarrier;
+  std::string word = ToLowerAscii(sql.substr(begin, end - begin));
+  return word == "insert" || word == "update" || word == "delete";
+}
+
+StatementClass ClassifyStatement(const Result<sql::StatementFingerprint>& fp,
+                                 const std::string& sql) {
+  if (fp.ok() && fp->cacheable) return StatementClass::kReadOnly;
+  // The first keyword separates DML from barriers; anything
+  // unrecognized (DDL, CALL, EXPLAIN, lexical errors) is a barrier.
+  return IsDmlText(sql) ? StatementClass::kDml : StatementClass::kBarrier;
 }
 
 /// Dedup identity of a statement within a wave: the normalized
@@ -119,58 +120,98 @@ DbServer::DbServer(Config config)
 
 DbServer::~DbServer() = default;
 
-Status DbServer::Execute(std::string_view sql, ResultSet* out,
-                         size_t* response_bytes) {
-  ResultSet scratch;
-  if (out == nullptr) out = &scratch;
-  // Per-call stats, exactly like the batch path: last_stats() is a
-  // serial-only concept and must not be used for log attribution when
-  // serial and batched/wave traffic interleave.
+Status DbServer::RunStatement(std::string_view sql,
+                              Result<sql::StatementFingerprint>* fingerprint,
+                              uint64_t snapshot_ts,
+                              const StatementOrigin& origin, ResultSet* out,
+                              size_t* response_bytes,
+                              StatementLogEntry* log_entry) {
+  // Per-call stats: last_stats() is a serial-only concept and must not
+  // be used for attribution when serial, batch and wave traffic
+  // interleave.
   ExecStats stats;
   Status status;
   double sim = 0;
   double wall = 0;
   {
+    // Whoever runs the statement (caller, pool worker, wave leader),
+    // its span belongs to the submitter's action.
+    obs::ContextScope ctx_scope(origin.trace);
     obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
     const auto wall_start = std::chrono::steady_clock::now();
-    status = db_.Execute(sql, out, &stats);
+    if (fingerprint != nullptr && fingerprint->ok()) {
+      status = db_.ExecuteFingerprinted(std::move(**fingerprint), out, &stats,
+                                        snapshot_ts);
+    } else {
+      // No fingerprint, or a lexical error: the text path (which
+      // reports the diagnostics).
+      status = db_.Execute(sql, out, &stats, snapshot_ts);
+    }
     wall = WallSince(wall_start);
-    sim =
-        model::ServerSeconds(config_.server_cost, WorkOf(stats, out->num_rows()));
+    sim = model::ServerSeconds(config_.server_cost,
+                               WorkOf(stats, out->num_rows()));
     span.set_sim_seconds(sim);
   }
   ServerStatementCounter().Increment();
-  std::string sql_text(sql);
-  RecordStatementTelemetry(sql_text, stats, out->num_rows(),
-                           /*response_bytes=*/0, sim, wall,
-                           /*queue_wait_s=*/0, /*wave_id=*/0, /*batch_id=*/0,
-                           /*client_id=*/0, stats.plan_cache_hits > 0);
-  PDM_RETURN_NOT_OK(status);
+  if (!status.ok()) *out = ResultSet();
   // Sizing walks every result row; skip it when nobody consumes it.
-  if (response_bytes != nullptr || log_enabled_) {
-    size_t bytes = ResponseBytes(*out);
-    if (response_bytes != nullptr) *response_bytes = bytes;
-    if (log_enabled_) {
-      AppendLogEntry(StatementLogEntry{
-          std::move(sql_text), out->num_rows(), out->affected_rows, bytes,
-          stats.plan_cache_hits > 0, /*batch_id=*/0, /*worker=*/0,
-          /*wave_id=*/0, /*client_id=*/0, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows});
-    }
+  size_t bytes = 0;
+  if (response_bytes != nullptr) {
+    bytes = ResponseBytes(*out);
+    *response_bytes = bytes;
   }
+  RecordStatementTelemetry(sql, stats, out->num_rows(), bytes, sim, wall,
+                           origin);
+  if (log_entry != nullptr) {
+    *log_entry = StatementLogEntry{
+        std::string(sql), out->num_rows(), out->affected_rows, bytes,
+        stats.plan_cache_hits > 0, origin.batch_id, origin.worker,
+        origin.wave_id, origin.client_id, /*coalesced=*/false,
+        stats.rows_scanned, stats.cte_rows_scanned, stats.vec_rows_scanned,
+        stats.join_probe_rows, stats.vec_join_probe_rows,
+        stats.agg_input_rows, stats.vec_agg_input_rows};
+  }
+  return status;
+}
+
+void DbServer::NoteDmlExecution() {
+  // Runs after the execution's snapshot is released: prunes versions
+  // no live snapshot can reach (concurrent snapshots make the pass
+  // defer harmlessly).
+  if (config_.gc_interval_waves > 0 &&
+      dml_executions_since_gc_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+          config_.gc_interval_waves) {
+    dml_executions_since_gc_.store(0, std::memory_order_relaxed);
+    db_.GarbageCollectVersions();
+  }
+}
+
+Status DbServer::Execute(std::string_view sql, ResultSet* out,
+                         size_t* response_bytes) {
+  ResultSet scratch;
+  if (out == nullptr) out = &scratch;
+  StatementOrigin origin;
+  origin.trace = obs::CurrentContext();
+  size_t bytes = 0;
+  StatementLogEntry entry;
+  Status status = RunStatement(
+      sql, /*fingerprint=*/nullptr, Database::kLatestSnapshot, origin, out,
+      response_bytes != nullptr || log_enabled_ ? &bytes : nullptr,
+      log_enabled_ ? &entry : nullptr);
+  if (IsDmlText(sql)) NoteDmlExecution();
+  PDM_RETURN_NOT_OK(status);
+  if (response_bytes != nullptr) *response_bytes = bytes;
+  if (log_enabled_) AppendLogEntry(std::move(entry));
   return Status::OK();
 }
 
 std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
     std::span<const std::string> statements) {
-  const uint64_t batch_id =
-      last_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  StatementOrigin origin;
+  origin.batch_id = last_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // A batch is one client action: every statement span — whichever pool
   // worker runs it — attaches to the submitting thread's trace.
-  const obs::TraceContext batch_ctx = obs::CurrentContext();
+  origin.trace = obs::CurrentContext();
   std::vector<BatchStatementResult> results(statements.size());
   std::vector<StatementLogEntry> entries;
   if (log_enabled_) entries.resize(statements.size());
@@ -181,11 +222,12 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   std::vector<Result<sql::StatementFingerprint>> fingerprints;
   fingerprints.reserve(statements.size());
   bool read_only = true;
+  bool has_dml = false;
   for (const std::string& sql : statements) {
     fingerprints.push_back(sql::FingerprintSql(sql));
-    if (!fingerprints.back().ok() || !fingerprints.back()->cacheable) {
-      read_only = false;
-    }
+    const StatementClass cls = ClassifyStatement(fingerprints.back(), sql);
+    read_only = read_only && cls == StatementClass::kReadOnly;
+    has_dml = has_dml || cls == StatementClass::kDml;
   }
 
   // Parallel execution is only safe for all-read-only batches; a batch
@@ -194,50 +236,20 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   if (!read_only) threads = 1;
 
   auto run_one = [&](size_t i, size_t worker) {
+    StatementOrigin o = origin;
+    o.worker = worker;
     BatchStatementResult& r = results[i];
-    ExecStats stats;
-    obs::ContextScope ctx_scope(batch_ctx);
-    double sim = 0;
-    double wall = 0;
-    {
-      obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
-      const auto wall_start = std::chrono::steady_clock::now();
-      if (fingerprints[i].ok()) {
-        r.status = db_.ExecuteFingerprinted(std::move(*fingerprints[i]),
-                                            &r.result, &stats);
-      } else {
-        // Lexical error: re-run through the text path for its diagnostics.
-        r.status = db_.Execute(statements[i], &r.result, &stats);
-      }
-      wall = WallSince(wall_start);
-      sim = model::ServerSeconds(config_.server_cost,
-                                 WorkOf(stats, r.result.num_rows()));
-      span.set_sim_seconds(sim);
-    }
-    ServerStatementCounter().Increment();
-    if (!r.status.ok()) r.result = ResultSet();
-    r.response_bytes = ResponseBytes(r.result);
-    RecordStatementTelemetry(statements[i], stats, r.result.num_rows(),
-                             r.response_bytes, sim, wall, /*queue_wait_s=*/0,
-                             /*wave_id=*/0, batch_id, /*client_id=*/0,
-                             stats.plan_cache_hits > 0);
-    if (log_enabled_) {
-      entries[i] = StatementLogEntry{
-          statements[i], r.result.num_rows(), r.result.affected_rows,
-          r.response_bytes, stats.plan_cache_hits > 0, batch_id, worker,
-          /*wave_id=*/0, /*client_id=*/0, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows};
-    }
+    r.status = RunStatement(statements[i], &fingerprints[i],
+                            Database::kLatestSnapshot, o, &r.result,
+                            &r.response_bytes,
+                            log_enabled_ ? &entries[i] : nullptr);
   };
 
   if (threads <= 1) {
     for (size_t i = 0; i < statements.size(); ++i) run_one(i, 0);
   } else {
     // ParallelFor is not reentrant and the pool may be rebuilt when
-    // batch_threads changes: concurrent async batches serialize their
+    // batch_threads changes: concurrent batches serialize their
     // parallel sections here (engine-level read concurrency is what the
     // pool provides; batch-level overlap comes from the serial paths).
     std::lock_guard<std::mutex> pool_lock(pool_mutex_);
@@ -250,37 +262,13 @@ std::vector<DbServer::BatchStatementResult> DbServer::ExecuteBatch(
   for (StatementLogEntry& e : entries) {
     AppendLogEntry(std::move(e));
   }
+  if (has_dml) NoteDmlExecution();
   return results;
 }
 
 std::vector<DbServer::BatchStatementResult> DbServer::Submit(
     uint64_t client_id, std::span<const std::string> statements) {
   return admission_->Submit(client_id, statements);
-}
-
-std::future<std::vector<DbServer::BatchStatementResult>>
-DbServer::ExecuteBatchAsync(std::vector<std::string> statements) {
-  // Capture the submitter's trace context NOW: std::async bodies run on
-  // a fresh thread whose thread-local context is empty, and the spans
-  // of this batch belong to the action that submitted it.
-  const obs::TraceContext ctx = obs::CurrentContext();
-  return std::async(std::launch::async,
-                    [this, ctx, statements = std::move(statements)]() {
-                      obs::ContextScope scope(ctx);
-                      return ExecuteBatch(statements);
-                    });
-}
-
-std::future<std::vector<DbServer::BatchStatementResult>>
-DbServer::SubmitAsync(uint64_t client_id,
-                      std::vector<std::string> statements) {
-  const obs::TraceContext ctx = obs::CurrentContext();
-  return std::async(std::launch::async,
-                    [this, client_id, ctx,
-                     statements = std::move(statements)]() {
-                      obs::ContextScope scope(ctx);
-                      return Submit(client_id, statements);
-                    });
 }
 
 DbServer::WaveExecution DbServer::ExecuteWave(
@@ -323,46 +311,20 @@ DbServer::WaveExecution DbServer::ExecuteWave(
   std::atomic<size_t> conflicts{0};
 
   auto run_one = [&](size_t i, size_t worker, uint64_t snapshot_ts) {
-    BatchStatementResult& r = *items[i].slot;
-    ExecStats stats;
     // The leader (or a pool worker) may be executing another client's
     // statement: charge the span to the submitter's trace, not ours.
-    obs::ContextScope ctx_scope(items[i].trace);
-    double sim = 0;
-    double wall = 0;
-    {
-      obs::ScopedSpan span("server:statement", obs::ModelTerm::kServer);
-      const auto wall_start = std::chrono::steady_clock::now();
-      if (fingerprints[i].ok()) {
-        r.status = db_.ExecuteFingerprinted(std::move(*fingerprints[i]),
-                                            &r.result, &stats, snapshot_ts);
-      } else {
-        r.status = db_.Execute(*items[i].sql, &r.result, &stats, snapshot_ts);
-      }
-      wall = WallSince(wall_start);
-      sim = model::ServerSeconds(config_.server_cost,
-                                 WorkOf(stats, r.result.num_rows()));
-      span.set_sim_seconds(sim);
-    }
-    ServerStatementCounter().Increment();
+    StatementOrigin origin;
+    origin.trace = items[i].trace;
+    origin.wave_id = wave_id;
+    origin.client_id = items[i].client_id;
+    origin.worker = worker;
+    origin.queue_wait_s = items[i].queue_wait_s;
+    BatchStatementResult& r = *items[i].slot;
+    r.status = RunStatement(*items[i].sql, &fingerprints[i], snapshot_ts,
+                            origin, &r.result, &r.response_bytes,
+                            log_enabled_ ? &entries[i] : nullptr);
     if (IsRetryableConflict(r.status.code())) {
       conflicts.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!r.status.ok()) r.result = ResultSet();
-    r.response_bytes = ResponseBytes(r.result);
-    RecordStatementTelemetry(*items[i].sql, stats, r.result.num_rows(),
-                             r.response_bytes, sim, wall,
-                             items[i].queue_wait_s, wave_id, /*batch_id=*/0,
-                             items[i].client_id, stats.plan_cache_hits > 0);
-    if (log_enabled_) {
-      entries[i] = StatementLogEntry{
-          *items[i].sql, r.result.num_rows(), r.result.affected_rows,
-          r.response_bytes, stats.plan_cache_hits > 0, /*batch_id=*/0,
-          worker, wave_id, items[i].client_id, /*coalesced=*/false,
-          stats.rows_scanned, stats.cte_rows_scanned,
-          stats.vec_rows_scanned, stats.join_probe_rows,
-          stats.vec_join_probe_rows, stats.agg_input_rows,
-          stats.vec_agg_input_rows};
     }
   };
 
@@ -492,15 +454,7 @@ DbServer::WaveExecution DbServer::ExecuteWave(
     AppendLogEntry(std::move(e));
   }
 
-  // Periodic version GC, after the wave snapshot is released: prunes
-  // versions no live snapshot can reach (concurrent waves' snapshots
-  // make the pass defer harmlessly).
-  if (dml_count > 0 && config_.gc_interval_waves > 0 &&
-      dml_waves_since_gc_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          config_.gc_interval_waves) {
-    dml_waves_since_gc_.store(0, std::memory_order_relaxed);
-    db_.GarbageCollectVersions();
-  }
+  if (dml_count > 0) NoteDmlExecution();
   return execution;
 }
 
@@ -520,11 +474,13 @@ size_t DbServer::ResponseBytes(const ResultSet& result) const {
   return result.WireSize() + 64;
 }
 
-void DbServer::RecordStatementTelemetry(
-    const std::string& sql, const ExecStats& stats, size_t result_rows,
-    size_t response_bytes, double sim_seconds, double wall_seconds,
-    double queue_wait_s, uint64_t wave_id, uint64_t batch_id,
-    uint64_t client_id, bool plan_cache_hit) {
+void DbServer::RecordStatementTelemetry(std::string_view sql,
+                                        const ExecStats& stats,
+                                        size_t result_rows,
+                                        size_t response_bytes,
+                                        double sim_seconds,
+                                        double wall_seconds,
+                                        const StatementOrigin& origin) {
   const std::string_view stmt_class = ClassifyStatementClass(sql, stats);
   const std::string_view engine = EngineLabel(stats);
 
@@ -548,8 +504,9 @@ void DbServer::RecordStatementTelemetry(
                                     config_.slow_query_top_k};
   if (!slow_query_log_.MightRecord(limits, sim_seconds, wall_seconds)) return;
 
+  const bool plan_cache_hit = stats.plan_cache_hits > 0;
   SlowQueryRecord rec;
-  rec.sql = sql;
+  rec.sql = std::string(sql);
   rec.fingerprint = stats.fingerprint_key;
   rec.stmt_class = std::string(stmt_class);
   rec.engine = std::string(engine);
@@ -562,9 +519,9 @@ void DbServer::RecordStatementTelemetry(
       stats.vec_join_probe_rows,
       stats.agg_input_rows + stats.vec_agg_input_rows,
       stats.vec_agg_input_rows, plan_cache_hit ? "cached" : "parsed");
-  rec.wave_id = wave_id;
-  rec.batch_id = batch_id;
-  rec.client_id = client_id;
+  rec.wave_id = origin.wave_id;
+  rec.batch_id = origin.batch_id;
+  rec.client_id = origin.client_id;
   rec.plan_cache_hit = plan_cache_hit;
   rec.result_rows = result_rows;
   rec.response_bytes = response_bytes;
@@ -577,7 +534,7 @@ void DbServer::RecordStatementTelemetry(
   rec.vec_agg_input_rows = stats.vec_agg_input_rows;
   rec.sim_server_seconds = sim_seconds;
   rec.wall_seconds = wall_seconds;
-  rec.queue_wait_seconds = queue_wait_s;
+  rec.queue_wait_seconds = origin.queue_wait_s;
   size_t evicted = slow_query_log_.Note(limits, std::move(rec));
   if (evicted > 0) {
     obs::MetricsRegistry::Global()

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -62,8 +61,10 @@ class DbServer {
     /// unparseable statements always run serial regardless.
     bool mvcc_waves = true;
     /// Run MVCC version garbage collection after every N DML-carrying
-    /// waves (0 = never). GC prunes only versions no live snapshot can
-    /// reach, so it never changes results.
+    /// executions (0 = never). Every exchange that reaches the engine
+    /// counts once if it carries DML: an admission wave, a direct
+    /// batch or a standalone Execute() statement. GC prunes only
+    /// versions no live snapshot can reach, so it never changes results.
     size_t gc_interval_waves = 64;
     /// Simulated server-cost calibration for the t_server spans
     /// (DESIGN.md 5f): every executed statement is charged simulated
@@ -182,8 +183,11 @@ class DbServer {
   DbServer(const DbServer&) = delete;
   DbServer& operator=(const DbServer&) = delete;
 
-  /// Executes one statement arriving as SQL text; fills `out` and
-  /// `response_bytes` (serialized size under the configured policy).
+  /// Executes one standalone statement arriving as SQL text (batch 0;
+  /// not counted in server.batches); fills `out` and `response_bytes`
+  /// (serialized size under the configured policy). The response is
+  /// sized only when `response_bytes` is non-null or the statement log
+  /// is on. A failing statement is not logged.
   Status Execute(std::string_view sql, ResultSet* out,
                  size_t* response_bytes);
 
@@ -196,23 +200,6 @@ class DbServer {
   /// log keeps statement order and records the batch id + worker.
   std::vector<BatchStatementResult> ExecuteBatch(
       std::span<const std::string> statements);
-
-  /// Async submission handle (DESIGN.md 5g): executes the batch on a
-  /// background thread and returns immediately, so a pipelined client
-  /// can overlap the next level's execution with its own processing of
-  /// the previous response. The submitting thread's trace context is
-  /// captured here and re-established on the background thread, so
-  /// server spans still attach to the submitting client's action.
-  /// Concurrent in-flight batches are safe for read-only statements
-  /// (the DESIGN.md 5d contract).
-  std::future<std::vector<BatchStatementResult>> ExecuteBatchAsync(
-      std::vector<std::string> statements);
-
-  /// ExecuteBatchAsync through the shared admission queue: the
-  /// background thread calls Submit(), so concurrent pipelined clients
-  /// still coalesce into execution waves (DESIGN.md 5e).
-  std::future<std::vector<BatchStatementResult>> SubmitAsync(
-      uint64_t client_id, std::vector<std::string> statements);
 
   /// Submits one client's statements to the shared admission queue
   /// (DESIGN.md 5e) and blocks until an execution wave has produced
@@ -297,16 +284,46 @@ class DbServer {
   /// the ring capacity.
   void AppendLogEntry(StatementLogEntry entry);
 
-  /// Post-execution telemetry shared by all three paths (serial, batch,
-  /// wave): observes the dimensioned statement histogram
+  /// Where one statement came from: attribution for its span, its
+  /// telemetry and its statement-log entry.
+  struct StatementOrigin {
+    /// Trace the statement's span attaches to (the submitter's action,
+    /// whichever thread runs it).
+    obs::TraceContext trace;
+    uint64_t batch_id = 0;
+    uint64_t wave_id = 0;
+    uint64_t client_id = 0;
+    size_t worker = 0;
+    double queue_wait_s = 0;
+  };
+
+  /// The one per-statement body of Execute, ExecuteBatch and
+  /// ExecuteWave: runs `sql` at `snapshot_ts` under a server:statement
+  /// span, charges its simulated cost, counts it in server.statements
+  /// and records its telemetry. `fingerprint` (nullable) is consumed
+  /// for the plan-cache lookup when it lexed cleanly. On error `out` is
+  /// cleared. The response is sized only when `response_bytes` is
+  /// non-null; `log_entry` (nullable) receives the statement-log entry
+  /// for the caller to append in its own order.
+  Status RunStatement(std::string_view sql,
+                      Result<sql::StatementFingerprint>* fingerprint,
+                      uint64_t snapshot_ts, const StatementOrigin& origin,
+                      ResultSet* out, size_t* response_bytes,
+                      StatementLogEntry* log_entry);
+
+  /// Post-execution GC trigger shared by every path: counts one
+  /// DML-carrying execution and runs version GC every
+  /// Config::gc_interval_waves of them.
+  void NoteDmlExecution();
+
+  /// Post-execution telemetry of RunStatement: observes the dimensioned
+  /// statement histogram
   /// "server.statement_sim_seconds"{site, stmt_class, engine} and feeds
   /// the slow-query log.
-  void RecordStatementTelemetry(const std::string& sql,
-                                const ExecStats& stats, size_t result_rows,
-                                size_t response_bytes, double sim_seconds,
-                                double wall_seconds, double queue_wait_s,
-                                uint64_t wave_id, uint64_t batch_id,
-                                uint64_t client_id, bool plan_cache_hit);
+  void RecordStatementTelemetry(std::string_view sql, const ExecStats& stats,
+                                size_t result_rows, size_t response_bytes,
+                                double sim_seconds, double wall_seconds,
+                                const StatementOrigin& origin);
 
   Config config_;
   Database db_;
@@ -315,7 +332,7 @@ class DbServer {
   std::deque<StatementLogEntry> statement_log_;
   size_t statement_log_dropped_ = 0;
   std::atomic<uint64_t> last_batch_id_{0};
-  std::atomic<uint64_t> dml_waves_since_gc_{0};
+  std::atomic<uint64_t> dml_executions_since_gc_{0};
   std::mutex pool_mutex_;
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<AdmissionQueue> admission_;

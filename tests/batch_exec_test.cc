@@ -2,8 +2,10 @@
 // error semantics of DbServer::ExecuteBatch, determinism across
 // batch_threads, statement-log batch/worker attribution, the engine's
 // thread-safety contract under concurrent cold-index builds and
-// plan-cache fingerprint collisions, and the batched navigational
-// strategy's α+1 round-trip schedule on the 5×5 product.
+// plan-cache fingerprint collisions, the agreement of the standalone,
+// batch and admission-queue paths statement for statement, and the
+// batched navigational strategy's α+1 round-trip schedule on the 5×5
+// product.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 
 #include "client/experiment.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "server/db_server.h"
 #include "sql/fingerprint.h"
 
@@ -278,10 +281,9 @@ TEST(BatchExec, EmptyConnectionBatchChargesNothing) {
   EXPECT_DOUBLE_EQ(conn.stats().total_seconds(), 0.0);
 
   out = {Result<ResultSet>(ResultSet())};
-  ASSERT_TRUE(conn.ExecuteBatchSized(statements, &out, [](const ResultSet&) {
-                    return size_t{512};
-                  })
-                  .ok());
+  ASSERT_TRUE(conn.ExecuteBatch(statements, &out, [](const ResultSet&) {
+                return size_t{512};
+              }).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(conn.stats().round_trips, 0u);
 }
@@ -310,9 +312,90 @@ TEST(BatchExec, BatchFingerprintsEachStatementExactlyOnce) {
   }
 }
 
+// The three server entry points share one statement body: a SELECT
+// and an UPDATE give the same status, rows, response bytes,
+// server.statements delta and statement-log work fields whether they
+// arrive standalone, as a batch or through the admission queue. Only
+// the batch/wave/client attribution differs. Each path runs on its own
+// identically seeded server, so plan-cache and version state match.
+TEST(BatchExec, ExecuteBatchAndSubmitAgreeStatementForStatement) {
+  const std::vector<std::string> statements = {
+      PointQuery(3), "UPDATE t SET name = 'x' WHERE id = 5"};
+  struct PathRun {
+    std::vector<DbServer::BatchStatementResult> results;
+    std::vector<DbServer::StatementLogEntry> log;
+    uint64_t statements_delta = 0;
+  };
+  obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("server.statements");
+  auto run = [&](int path) {
+    PathRun out;
+    DbServer server;
+    Seed(&server, 8);
+    server.EnableStatementLog(true);
+    server.ClearStatementLog();
+    const uint64_t before = counter.value();
+    if (path == 0) {
+      for (const std::string& sql : statements) {
+        DbServer::BatchStatementResult r;
+        r.status = server.Execute(sql, &r.result, &r.response_bytes);
+        out.results.push_back(std::move(r));
+      }
+    } else if (path == 1) {
+      out.results = server.ExecuteBatch(statements);
+    } else {
+      out.results = server.Submit(/*client_id=*/7, statements);
+    }
+    out.statements_delta = counter.value() - before;
+    out.log = server.statement_log();
+    return out;
+  };
+  const PathRun reference = run(0);
+  ASSERT_EQ(reference.log.size(), statements.size());
+  for (int path : {1, 2}) {
+    SCOPED_TRACE(path == 1 ? "ExecuteBatch" : "Submit");
+    const PathRun other = run(path);
+    EXPECT_EQ(other.statements_delta, reference.statements_delta);
+    ASSERT_EQ(other.results.size(), reference.results.size());
+    ASSERT_EQ(other.log.size(), reference.log.size());
+    for (size_t i = 0; i < statements.size(); ++i) {
+      const DbServer::BatchStatementResult& a = reference.results[i];
+      const DbServer::BatchStatementResult& b = other.results[i];
+      ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+      EXPECT_EQ(b.status.ToString(), a.status.ToString());
+      EXPECT_EQ(b.result.ToString(1 << 20), a.result.ToString(1 << 20));
+      EXPECT_EQ(b.result.affected_rows, a.result.affected_rows);
+      EXPECT_EQ(b.response_bytes, a.response_bytes);
+
+      const DbServer::StatementLogEntry& x = reference.log[i];
+      const DbServer::StatementLogEntry& y = other.log[i];
+      EXPECT_EQ(y.sql, x.sql);
+      EXPECT_EQ(y.result_rows, x.result_rows);
+      EXPECT_EQ(y.affected_rows, x.affected_rows);
+      EXPECT_EQ(y.response_bytes, x.response_bytes);
+      EXPECT_EQ(y.plan_cache_hit, x.plan_cache_hit);
+      EXPECT_EQ(y.worker, x.worker);
+      EXPECT_EQ(y.coalesced, x.coalesced);
+      EXPECT_EQ(y.rows_scanned, x.rows_scanned);
+      EXPECT_EQ(y.cte_rows_scanned, x.cte_rows_scanned);
+      EXPECT_EQ(y.vec_rows_scanned, x.vec_rows_scanned);
+      EXPECT_EQ(y.join_probe_rows, x.join_probe_rows);
+      EXPECT_EQ(y.vec_join_probe_rows, x.vec_join_probe_rows);
+      EXPECT_EQ(y.agg_input_rows, x.agg_input_rows);
+      EXPECT_EQ(y.vec_agg_input_rows, x.vec_agg_input_rows);
+    }
+  }
+  EXPECT_EQ(reference.results[0].result.At(0, 0).ToString(), "n3");
+  EXPECT_EQ(reference.results[1].result.affected_rows, 1u);
+  EXPECT_EQ(reference.log[0].batch_id, 0u);
+  EXPECT_EQ(reference.log[0].wave_id, 0u);
+}
+
 /// The tentpole's acceptance check on the deterministic 5×5 product:
-/// batched MLE retrieves the byte-identical tree in exactly α+1 round
-/// trips, for both rule-evaluation variants and all thread counts.
+/// the level-batched MLE retrieves the byte-identical tree in exactly
+/// α+1 round trips, for both rule-evaluation variants, with level
+/// overlap off (batched: nothing hidden) and on (pipelined: latency
+/// hidden), and all thread counts.
 TEST(BatchedStrategy, FiveByFiveExactRoundTripsAndIdenticalTree) {
   client::ExperimentConfig config;
   config.generator.depth = 5;
@@ -333,9 +416,13 @@ TEST(BatchedStrategy, FiveByFiveExactRoundTripsAndIdenticalTree) {
   const struct {
     StrategyKind batched;
     const client::ActionResult* reference;
-  } kVariants[] = {{StrategyKind::kBatchedLate, &*nav_late},
-                   {StrategyKind::kBatchedEarly, &*nav_early}};
+    bool overlap;
+  } kVariants[] = {{StrategyKind::kBatchedLate, &*nav_late, false},
+                   {StrategyKind::kBatchedEarly, &*nav_early, false},
+                   {StrategyKind::kPipelinedLate, &*nav_late, true},
+                   {StrategyKind::kPipelinedEarly, &*nav_early, true}};
   for (const auto& variant : kVariants) {
+    SCOPED_TRACE(model::StrategyKindName(variant.batched));
     for (size_t threads : {1u, 4u}) {
       e.server().mutable_config().batch_threads = threads;
       e.server().EnableStatementLog(true);
@@ -373,6 +460,12 @@ TEST(BatchedStrategy, FiveByFiveExactRoundTripsAndIdenticalTree) {
                        variant.reference->wan.response_payload_bytes);
       EXPECT_LT(batched->wan.total_seconds(),
                 variant.reference->wan.total_seconds());
+      // Latency is hidden only when levels overlap.
+      if (variant.overlap) {
+        EXPECT_GT(batched->wan.overlap_hidden_seconds, 0.0);
+      } else {
+        EXPECT_DOUBLE_EQ(batched->wan.overlap_hidden_seconds, 0.0);
+      }
     }
   }
   e.server().mutable_config().batch_threads = 1;

@@ -1,10 +1,11 @@
 // Tests for MVCC snapshot reads (DESIGN.md 5h): snapshot isolation
 // across UPDATE at the engine level, deterministic first-writer-wins
 // conflicts with full statement rollback, version-GC defer/prune
-// behaviour, conflict surfacing through mixed reader/writer waves, the
+// behaviour and its trigger on direct server DML, conflict surfacing through mixed reader/writer waves, the
 // concurrent check-out workload driver (byte-identical reader trees,
-// server/client conflict counter reconciliation), a table-level
-// snapshot-stability stress that doubles as a TSan canary, and
+// server/client conflict counter reconciliation), table-level
+// snapshot-stability and index/append stresses that double as TSan
+// canaries, and
 // vectorized visibility over the columnar fragments (version chains
 // crossing the fragment boundary, concurrent fragment scans).
 
@@ -152,6 +153,47 @@ TEST(MvccEngine, GcDefersUnderActiveSnapshotAndPrunesOnlyDead) {
       db.Query("SELECT id, name FROM t ORDER BY id");
   ASSERT_TRUE(after_noop.ok());
   EXPECT_EQ(after_noop->ToString(1 << 20), before->ToString(1 << 20));
+}
+
+// Version GC runs after DML on every server path, not only after
+// admission waves: N direct DML batches with gc_interval_waves = N run
+// exactly one GC pass, read-only batches do not count, and standalone
+// DML statements count as well.
+TEST(MvccServer, DirectDmlCountsTowardTheGcInterval) {
+  constexpr size_t kInterval = 4;
+  DbServer::Config config;
+  config.gc_interval_waves = kInterval;
+  DbServer server(config);
+  ASSERT_TRUE(server.database()
+                  .ExecuteScript("CREATE TABLE t (id INTEGER, name VARCHAR);"
+                                 "INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+                  .ok());
+  const std::vector<std::string> update = {
+      "UPDATE t SET name = 'u' WHERE id = 1"};
+  const std::vector<std::string> select = {"SELECT name FROM t"};
+
+  const uint64_t runs_before = CounterValue("mvcc.gc_runs");
+  const uint64_t pruned_before = CounterValue("mvcc.versions_pruned");
+  for (size_t i = 0; i + 1 < kInterval; ++i) {
+    server.ExecuteBatch(update);
+    server.ExecuteBatch(select);
+  }
+  EXPECT_EQ(CounterValue("mvcc.gc_runs"), runs_before);
+  server.ExecuteBatch(update);
+  EXPECT_EQ(CounterValue("mvcc.gc_runs"), runs_before + 1);
+  EXPECT_EQ(CounterValue("mvcc.versions_pruned"), pruned_before + kInterval);
+
+  ResultSet out;
+  for (size_t i = 0; i < kInterval; ++i) {
+    ASSERT_TRUE(server.Execute(update[0], &out, nullptr).ok());
+    ASSERT_TRUE(server.Execute(select[0], &out, nullptr).ok());
+  }
+  EXPECT_EQ(CounterValue("mvcc.gc_runs"), runs_before + 2);
+  Result<ResultSet> rows = server.database().Query(
+      "SELECT id, name FROM t ORDER BY id");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->At(0, 1).ToString(), "u");
+  EXPECT_EQ(rows->At(1, 1).ToString(), "b");
 }
 
 TEST(MvccWaves, SameWaveUpdatesOnOneRowSurfaceRetryableConflict) {
@@ -311,6 +353,69 @@ TEST(MvccTable, FixedSnapshotIsStableUnderConcurrentWriter) {
   // final clock still holds every logical row.
   EXPECT_EQ(table.num_rows(), static_cast<size_t>(kRows));
   EXPECT_EQ(table.SnapshotRows(kRounds).size(), static_cast<size_t>(kRows));
+}
+
+// Index/append race regression: an index rebuilt after an append had
+// advanced the index epoch but before it published its version used to
+// be marked fresh without that version, so lookups missed the row until
+// the next GC. One writer appends while readers invalidate the index
+// and look up every row published since their rebuild began: each
+// must be found.
+TEST(MvccTable, IndexLookupFindsEveryRowPublishedDuringRebuilds) {
+  constexpr int kRounds = 20;
+  constexpr int kRows = 2048;
+  constexpr int kReaders = 3;
+  size_t misses = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    Table table("t", Schema({Column{"id", ColumnType::kInt64}}));
+    std::atomic<bool> stop{false};
+    std::atomic<int> running{0};
+    std::atomic<size_t> round_misses{0};
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        std::vector<size_t> found;
+        size_t seen = ~size_t{0};
+        running.fetch_add(1, std::memory_order_acq_rel);
+        while (!stop.load(std::memory_order_acquire)) {
+          // One rebuild per append at most, so the writer never starves.
+          const size_t before = table.num_versions();
+          if (before == seen) {
+            std::this_thread::yield();
+            continue;
+          }
+          seen = before;
+          table.InvalidateIndexes();
+          table.IndexLookup(0, Value::Int64(0), &found);  // rebuilds
+          const size_t after = table.num_versions();
+          for (size_t pos = before; pos < after; ++pos) {
+            table.IndexLookup(0, Value::Int64(static_cast<int64_t>(pos)),
+                              &found);
+            if (found.size() != 1 || found[0] != pos) {
+              round_misses.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    // Single writer (the engine's contract), started once every reader
+    // runs; row i holds id i at position i.
+    while (running.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kRows; ++i) table.InsertUnchecked({Value::Int64(i)});
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+
+    misses += round_misses.load();
+    std::vector<size_t> found;
+    for (int i = 0; i < kRows; ++i) {
+      table.IndexLookup(0, Value::Int64(i), &found);
+      if (found.size() != 1) ++misses;
+    }
+  }
+  EXPECT_EQ(misses, 0u);
 }
 
 /// Vectorized visibility (DESIGN.md 5i): one row updated until its

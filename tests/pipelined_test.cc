@@ -11,6 +11,9 @@
 
 #include "client/experiment.h"
 #include "model/cost_model.h"
+#include "pdm/pdm_schema.h"
+#include "rules/condition.h"
+#include "rules/rule.h"
 #include "server/db_server.h"
 
 namespace pdm {
@@ -186,24 +189,108 @@ TEST(PipelinedConnection, MidPipelineFailureDrainsOutstandingBatch) {
   EXPECT_EQ(conn.stats().round_trips, 3u);
 }
 
-// Strategy-level fail-fast: expanding a root that does not exist makes
-// the level-0 statement fail; the action must report the error cleanly,
-// with no exchange left open and the connection still usable.
+// Strategy-level fail-fast, with overlap off (batched) and on
+// (pipelined): a failing MLE must report the error cleanly, with no
+// exchange left open and the connection still usable. A rule that
+// divides by zero on the link to one level-2 node fails exactly its
+// parent's level-1 statement while the sibling statements still yield
+// a level 2: with overlap off that level never reaches the server;
+// with overlap on it was issued speculatively and is drained.
 TEST(PipelinedStrategy, ActionErrorLeavesTheLinkClean) {
-  Result<std::unique_ptr<client::Experiment>> experiment =
-      MakeExperiment(2, 3, 1.0);
-  ASSERT_TRUE(experiment.ok()) << experiment.status();
-  client::Experiment& e = **experiment;
+  for (bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap on" : "overlap off");
+    {
+      Result<std::unique_ptr<client::Experiment>> experiment =
+          MakeExperiment(2, 3, 1.0);
+      ASSERT_TRUE(experiment.ok()) << experiment.status();
+      client::Experiment& e = **experiment;
+      // Drop the component table out from under the expand queries:
+      // every level's statements now fail at bind time.
+      ASSERT_TRUE(
+          e.server().Execute("DROP TABLE comp", nullptr, nullptr).ok());
+      Result<client::ActionResult> result = e.RunAction(
+          overlap ? StrategyKind::kPipelinedLate : StrategyKind::kBatchedLate,
+          ActionKind::kMultiLevelExpand);
+      EXPECT_FALSE(result.ok());
+      EXPECT_FALSE(e.connection().link().exchange_open());
+      ResultSet out;
+      EXPECT_TRUE(
+          e.connection().Execute("SELECT COUNT(*) FROM assy", &out).ok());
+    }
 
-  // Drop the component table out from under the expand queries: every
-  // level's statements now fail at bind time.
-  ASSERT_TRUE(e.server().Execute("DROP TABLE comp", nullptr, nullptr).ok());
-  Result<client::ActionResult> pipelined =
-      e.RunAction(StrategyKind::kPipelinedLate, ActionKind::kMultiLevelExpand);
-  EXPECT_FALSE(pipelined.ok());
-  EXPECT_FALSE(e.connection().link().exchange_open());
-  ResultSet out;
-  EXPECT_TRUE(e.connection().Execute("SELECT COUNT(*) FROM assy", &out).ok());
+    Result<std::unique_ptr<client::Experiment>> experiment =
+        MakeExperiment(3, 3, 0.6);
+    ASSERT_TRUE(experiment.ok()) << experiment.status();
+    client::Experiment& e = **experiment;
+    const StrategyKind kind =
+        overlap ? StrategyKind::kPipelinedEarly : StrategyKind::kBatchedEarly;
+    Result<client::ActionResult> clean =
+        e.RunAction(kind, ActionKind::kMultiLevelExpand);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+
+    // Pick an invisible assembly below a visible level-1 node. The
+    // rule's division is OR-ed with the link visibility rule, so it is
+    // evaluated only on invisible links — and divides by zero only on
+    // the link to that assembly, which only its parent's level-1
+    // statement reads.
+    ResultSet hidden;
+    ASSERT_TRUE(e.server()
+                    .Execute("SELECT link.left, link.right FROM link JOIN "
+                             "assy ON link.right = assy.obid WHERE "
+                             "assy.acc = '-'",
+                             &hidden, nullptr)
+                    .ok());
+    const pdmsys::ProductTree& tree = clean->tree;
+    std::optional<size_t> parent;
+    int64_t failing = 0;
+    for (const Row& row : hidden.rows) {
+      std::optional<size_t> index = tree.FindByObid(row[0].int64_value());
+      if (index.has_value() && tree.node(*index).parent == size_t{0}) {
+        parent = index;
+        failing = row[1].int64_value();
+        break;
+      }
+    }
+    ASSERT_TRUE(parent.has_value());
+    size_t level1 = 0;
+    size_t level2_healthy = 0;  // children of the other level-1 nodes
+    for (const pdmsys::ProductNode& node : tree.nodes()) {
+      if (node.parent == size_t{0}) ++level1;
+      if (node.parent.has_value() && *node.parent != *parent &&
+          tree.node(*node.parent).parent == size_t{0}) {
+        ++level2_healthy;
+      }
+    }
+    ASSERT_GT(level2_healthy, 0u);
+
+    Result<std::unique_ptr<rules::RowCondition>> condition =
+        rules::RowCondition::Parse(
+            pdmsys::kLinkTable,
+            "1 / (right - " + std::to_string(failing) + ") IS NOT NULL");
+    ASSERT_TRUE(condition.ok()) << condition.status();
+    rules::Rule rule;
+    rule.action = rules::RuleAction::kAccess;
+    rule.object_type = pdmsys::kLinkTable;
+    rule.condition = std::move(*condition);
+    e.rule_table().AddRule(std::move(rule));
+
+    e.server().EnableStatementLog(true);
+    e.server().ResetObservability();
+    Result<client::ActionResult> result =
+        e.RunAction(kind, ActionKind::kMultiLevelExpand);
+    EXPECT_FALSE(result.ok());
+    EXPECT_FALSE(e.connection().link().exchange_open());
+    EXPECT_EQ(e.connection().link().aborted_exchanges(), 1u);
+    // Levels 0 and 1 reached the server; level 2 only with overlap on.
+    size_t sent = 0;
+    for (const DbServer::StatementLogEntry& entry :
+         e.server().statement_log()) {
+      if (entry.batch_id != 0) ++sent;
+    }
+    EXPECT_EQ(sent, 1 + level1 + (overlap ? level2_healthy : 0));
+    ResultSet out;
+    EXPECT_TRUE(e.connection().Execute("SELECT COUNT(*) FROM assy", &out).ok());
+  }
 }
 
 // TSan acceptance canary: four concurrent pipelined clients through the

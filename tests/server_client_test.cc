@@ -57,10 +57,10 @@ TEST(Connection, SizerOverridesServerPolicy) {
                   .ok());
   Connection conn(&server, net::WanConfig{});
   ResultSet rs;
-  ASSERT_TRUE(conn.ExecuteSized("SELECT * FROM t", &rs,
-                                [](const ResultSet& r) {
-                                  return r.num_rows() * 1000;
-                                })
+  ASSERT_TRUE(conn.Execute("SELECT * FROM t", &rs,
+                           [](const ResultSet& r) {
+                             return r.num_rows() * 1000;
+                           })
                   .ok());
   EXPECT_DOUBLE_EQ(conn.stats().response_payload_bytes, 3000.0);
 }
